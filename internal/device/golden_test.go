@@ -16,32 +16,82 @@ import (
 	"repro/internal/sm"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_stats.json from the current simulator")
+var updateGolden = flag.Bool("update", false, "rewrite the golden fixtures under testdata/ from the current simulator")
 
 // goldenEntry pins the headline per-benchmark numbers of the default
 // configuration (one SBI+SWI SM, flat-latency DRAM — the paper
 // reproduction path). Any drift here changes the reproduced figures.
 type goldenEntry struct {
-	Cycles       int64   `json:"cycles"`
-	ThreadInstrs uint64  `json:"threadInstrs"`
-	IssueSlots   uint64  `json:"issueSlots"`
-	IPC          float64 `json:"ipc"`
-	L1Hits       uint64  `json:"l1Hits"`
-	L1Misses     uint64  `json:"l1Misses"`
+	Cycles           int64   `json:"cycles"`
+	ThreadInstrs     uint64  `json:"threadInstrs"`
+	IssueSlots       uint64  `json:"issueSlots"`
+	IPC              float64 `json:"ipc"`
+	L1Hits           uint64  `json:"l1Hits"`
+	L1Misses         uint64  `json:"l1Misses"`
+	ScoreboardChecks uint64  `json:"scoreboardChecks"`
+	ScoreboardStalls uint64  `json:"scoreboardStalls"`
+	StructuralStalls uint64  `json:"structuralStalls"`
 }
 
 func goldenFromStats(s *sm.Stats) goldenEntry {
 	return goldenEntry{
-		Cycles:       s.Cycles,
-		ThreadInstrs: s.ThreadInstrs,
-		IssueSlots:   s.IssueSlots,
-		IPC:          math.Round(s.IPC()*10000) / 10000,
-		L1Hits:       s.Mem.Hits,
-		L1Misses:     s.Mem.Misses,
+		Cycles:           s.Cycles,
+		ThreadInstrs:     s.ThreadInstrs,
+		IssueSlots:       s.IssueSlots,
+		IPC:              math.Round(s.IPC()*10000) / 10000,
+		L1Hits:           s.Mem.Hits,
+		L1Misses:         s.Mem.Misses,
+		ScoreboardChecks: s.ScoreboardChecks,
+		ScoreboardStalls: s.ScoreboardStalls,
+		StructuralStalls: s.StructuralStalls,
 	}
 }
 
-const goldenPath = "testdata/golden_stats.json"
+func (g goldenEntry) fields() []goldenField {
+	return []goldenField{
+		{"cycles", g.Cycles},
+		{"threadInstrs", g.ThreadInstrs},
+		{"issueSlots", g.IssueSlots},
+		{"ipc", g.IPC},
+		{"l1Hits", g.L1Hits},
+		{"l1Misses", g.L1Misses},
+		{"scoreboardChecks", g.ScoreboardChecks},
+		{"scoreboardStalls", g.ScoreboardStalls},
+		{"structuralStalls", g.StructuralStalls},
+	}
+}
+
+// archGoldenEntry pins, for every architecture, the cycle count and the
+// scoreboard counters: the per-probe verdicts of every scheduler path
+// (the baseline's two pools, the stack warps, DepWarp and DepMatrix
+// dependency tracking, the SWI buddy probes and the idle-span
+// fast-forward) show up in them exactly.
+type archGoldenEntry struct {
+	Cycles           int64  `json:"cycles"`
+	ScoreboardChecks uint64 `json:"scoreboardChecks"`
+	ScoreboardStalls uint64 `json:"scoreboardStalls"`
+	StructuralStalls uint64 `json:"structuralStalls"`
+}
+
+func (g archGoldenEntry) fields() []goldenField {
+	return []goldenField{
+		{"cycles", g.Cycles},
+		{"scoreboardChecks", g.ScoreboardChecks},
+		{"scoreboardStalls", g.ScoreboardStalls},
+		{"structuralStalls", g.StructuralStalls},
+	}
+}
+
+// goldenField is one named, comparable fixture column.
+type goldenField struct {
+	name  string
+	value interface{}
+}
+
+const (
+	goldenPath     = "testdata/golden_stats.json"
+	archGoldenPath = "testdata/golden_arch_stats.json"
+)
 
 // TestGoldenStats simulates the whole suite under the default device
 // configuration and compares every benchmark's headline statistics
@@ -49,7 +99,36 @@ const goldenPath = "testdata/golden_stats.json"
 // drifted number; run with -update to rewrite the fixture after an
 // intentional timing-model change.
 func TestGoldenStats(t *testing.T) {
-	dev, err := New(WithArch(sm.ArchSBISWI))
+	got := make(map[string]goldenEntry)
+	for _, r := range runGoldenSuite(t, sm.ArchSBISWI) {
+		got[r.Name()] = goldenFromStats(&r.Result.Stats)
+	}
+	checkGolden(t, goldenPath, got)
+}
+
+// TestGoldenArchStats runs the suite on every architecture and compares
+// cycles and scoreboard counters against a fixture keyed "arch/kernel".
+func TestGoldenArchStats(t *testing.T) {
+	got := make(map[string]archGoldenEntry)
+	for _, a := range sm.Architectures() {
+		for _, r := range runGoldenSuite(t, a) {
+			s := &r.Result.Stats
+			got[a.String()+"/"+r.Name()] = archGoldenEntry{
+				Cycles:           s.Cycles,
+				ScoreboardChecks: s.ScoreboardChecks,
+				ScoreboardStalls: s.ScoreboardStalls,
+				StructuralStalls: s.StructuralStalls,
+			}
+		}
+	}
+	checkGolden(t, archGoldenPath, got)
+}
+
+// runGoldenSuite simulates the whole suite on one default-configured
+// device of architecture a, failing the test on any error.
+func runGoldenSuite(t *testing.T, a sm.Arch) []*SuiteResult {
+	t.Helper()
+	dev, err := New(WithArch(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,36 +136,40 @@ func TestGoldenStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(map[string]goldenEntry, len(results))
 	for _, r := range results {
 		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Name(), r.Err)
+			t.Fatalf("%s on %v: %v", r.Name(), a, r.Err)
 		}
-		got[r.Name()] = goldenFromStats(&r.Result.Stats)
 	}
+	return results
+}
 
+// checkGolden compares got against the fixture at path, one readable
+// line per drifted number, or rewrites the fixture under -update.
+func checkGolden[E interface{ fields() []goldenField }](t *testing.T, path string, got map[string]E) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s with %d benchmarks", goldenPath, len(got))
+		t.Logf("rewrote %s with %d entries", path, len(got))
 		return
 	}
 
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden fixture (regenerate with -update): %v", err)
 	}
-	var want map[string]goldenEntry
+	var want map[string]E
 	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parse %s: %v", goldenPath, err)
+		t.Fatalf("parse %s: %v", path, err)
 	}
 
 	var drift []string
@@ -96,25 +179,15 @@ func TestGoldenStats(t *testing.T) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		w := want[name]
 		g, ok := got[name]
 		if !ok {
 			drift = append(drift, fmt.Sprintf("%s: missing from the suite", name))
 			continue
 		}
-		for _, d := range []struct {
-			field     string
-			got, want interface{}
-		}{
-			{"cycles", g.Cycles, w.Cycles},
-			{"threadInstrs", g.ThreadInstrs, w.ThreadInstrs},
-			{"issueSlots", g.IssueSlots, w.IssueSlots},
-			{"ipc", g.IPC, w.IPC},
-			{"l1Hits", g.L1Hits, w.L1Hits},
-			{"l1Misses", g.L1Misses, w.L1Misses},
-		} {
-			if d.got != d.want {
-				drift = append(drift, fmt.Sprintf("%-22s %-13s got %-12v want %v", name, d.field, d.got, d.want))
+		gf, wf := g.fields(), want[name].fields()
+		for i := range gf {
+			if gf[i].value != wf[i].value {
+				drift = append(drift, fmt.Sprintf("%-22s %-16s got %-12v want %v", name, gf[i].name, gf[i].value, wf[i].value))
 			}
 		}
 	}
@@ -129,7 +202,7 @@ func TestGoldenStats(t *testing.T) {
 		}
 	}
 	if len(drift) > 0 {
-		t.Errorf("default-config statistics drifted from the golden fixture (%d numbers):\n  %s\nIf the change is intentional, regenerate with `go test ./internal/device -run TestGoldenStats -update`.",
-			len(drift), strings.Join(drift, "\n  "))
+		t.Errorf("statistics drifted from the golden fixture %s (%d numbers):\n  %s\nIf the change is intentional, regenerate with `go test ./internal/device -run TestGolden -update`.",
+			path, len(drift), strings.Join(drift, "\n  "))
 	}
 }
