@@ -215,31 +215,36 @@ func (s *Scoreboard) ReadyAt(warp int, ins *isa.Instruction, srcs []isa.Reg, slo
 	return ready
 }
 
-// Horizon reports, without touching statistics or pruning, the
-// quantities that govern a frozen candidate's readiness while no new
-// entries are allocated (the SM's idle-span invariant). Entries whose
-// writeback time is at or before q are ignored — they are dead for
-// every query after q.
+// Horizon reports, without touching statistics, the quantities that
+// govern a frozen candidate's readiness while no new entries are
+// allocated. Entries whose writeback time is at or before q are pruned
+// — they are dead for every query at or after q — so a caller that
+// queries only Horizon (never ReadyAt) still keeps at most perWarp+1
+// entries per warp.
 //
 //   - hazardWB is the latest writeback time among live entries that
 //     conflict with the candidate (thread-sharing per the dependency
-//     mode and a RAW or WAW register match): a ReadyAt query at q' < q”
-//     stalls on a hazard exactly while q” < hazardWB. hasHazard is
+//     mode and a RAW or WAW register match): a ReadyAt query at q' >= q
+//     stalls on a hazard exactly while q' < hazardWB. hasHazard is
 //     false when no live entry conflicts.
 //   - structWB is the writeback time at which the entry table stops
 //     being structurally full for a destination-writing candidate:
-//     ReadyAt at q” reports a structural stall exactly while
-//     q” < structWB and no hazard stall applies. hasStruct is false
-//     when the candidate writes no destination or the table is not
-//     full.
+//     ReadyAt at q' >= q reports a structural stall exactly while
+//     hazardWB <= q' < structWB. hasStruct is false when the candidate
+//     writes no destination or the table is not full.
 func (s *Scoreboard) Horizon(warp int, ins *isa.Instruction, srcs []isa.Reg, slot int, mask uint64, q int64) (hazardWB int64, hasHazard bool, structWB int64, hasStruct bool) {
 	es := s.entries[warp]
 	live := s.horizon[:0]
+	n := 0
 	for i := range es {
-		e := &es[i]
-		if e.WB <= q {
+		if es[i].WB <= q {
 			continue
 		}
+		if n != i {
+			es[n] = es[i]
+		}
+		e := &es[n]
+		n++
 		live = append(live, e.WB)
 		if !s.depends(e, slot, mask) {
 			continue
@@ -255,6 +260,7 @@ func (s *Scoreboard) Horizon(warp int, ins *isa.Instruction, srcs []isa.Reg, slo
 			hazardWB, hasHazard = e.WB, true
 		}
 	}
+	s.entries[warp] = es[:n]
 	s.horizon = live
 	if ins.Op.HasDst() && len(live) >= s.perWarp {
 		// Insertion sort (allocation-free; at most perWarp+1 entries).

@@ -2,7 +2,8 @@ package sm
 
 // This file holds the incrementally maintained scheduler state and the
 // idle-cycle fast-forward. Together they replace the seed's per-cycle
-// full rescan of every warp context with event-driven bookkeeping:
+// full rescan of every warp context, and its per-probe scoreboard scan,
+// with event-driven bookkeeping in three layers:
 //
 //   - readySet / slotOf cache, per warp, whether the front-end's
 //     pre-scoreboard checks pass (resident, not at a barrier, primary
@@ -11,19 +12,29 @@ package sm
 //     that can change it — an issue on the warp (heap mutation, barrier
 //     arrival, thread exit), a barrier release, a block launch or
 //     retire — so per-cycle scheduling walks only live candidates.
+//   - gates caches, per schedulable warp, the scoreboard verdict on its
+//     primary candidate as a step function of the cycle (stallGate).
+//     The verdict can change only when the warp's candidate or its
+//     scoreboard entries do — an issue on the warp (Issue, and the
+//     DepMatrix Transition of its heap mutation), a barrier release, a
+//     block launch — which are the very events that refresh the first
+//     layer, so one Scoreboard.Horizon query per event replaces a
+//     ReadyAt scan on every primary and SWI buddy probe.
 //   - fastForward advances s.now across spans in which no candidate can
 //     issue. During such a span every scheduler-visible input is frozen
 //     (issues are the only events, and none happen), so the wake-up
-//     cycle is computable in closed form from the scoreboard writeback
-//     times and the unit free times, and the scoreboard counters the
-//     skipped probes would have incremented are reproduced arithmetically.
+//     cycle is the earliest gate opening folded with the unit free
+//     times, and the scoreboard counters the skipped probes would have
+//     incremented are reproduced arithmetically from the same gates.
 //
-// Both layers are cycle- and statistics-exact with the seed's rescan
+// All layers are cycle- and statistics-exact with the seed's rescan
 // loop by construction: they probe the same candidates in the same
-// ascending-warp order, so scoreboard counters and tie-breaking draws
-// are identical. (The retained reference loop that used to pin this
-// equivalence in-tree was retired once its history was established;
-// the golden-stats fixture still pins absolute results.)
+// ascending-warp order, and a gate ticks the scoreboard counters
+// exactly as the ReadyAt query it replaces, so counters and
+// tie-breaking draws are identical. (The retained reference loop that
+// used to pin this equivalence in-tree was retired once its history was
+// established; the golden-stats fixtures still pin absolute results,
+// scoreboard counters included, on every architecture.)
 
 import (
 	"math"
@@ -43,10 +54,12 @@ func (b warpBits) clear(i int) { b[i>>6] &^= 1 << uint(i&63) }
 // refreshWarp recomputes the cached schedulability of one warp after an
 // event that may have changed it. The invariant maintained: a warp's
 // readySet bit is set if and only if the reference scheduler's
-// pre-scoreboard checks would pass for it this cycle, and slotOf holds
-// its primary front-end slot. Everything the checks read — block
-// residency, barrier state, the warp's own heap or stack — is local to
-// the warp, so refreshing on the warp's own events suffices.
+// pre-scoreboard checks would pass for it this cycle, slotOf holds its
+// primary front-end slot, and — while the bit is set — gates holds the
+// scoreboard verdict on that slot's candidate. Everything these read —
+// block residency, barrier state, the warp's own heap or stack and its
+// scoreboard entries — is local to the warp, so refreshing on the
+// warp's own events suffices.
 //
 //sbwi:hotpath
 func (s *SM) refreshWarp(w *warp) {
@@ -71,14 +84,15 @@ func (s *SM) refreshWarp(w *warp) {
 	s.slotOf[w.id] = int8(slot)
 	if ok {
 		s.readySet.set(w.id)
+		s.refreshGate(w, slot)
 	} else {
 		s.readySet.clear(w.id)
 	}
 }
 
-// idleCand summarizes one schedulable (warp, slot) candidate during an
-// idle span. With all scheduler inputs frozen, each per-cycle probe's
-// outcome is a step function of the cycle t:
+// stallGate is a warp's scoreboard verdict on its primary candidate.
+// With the candidate and the warp's scoreboard entries unchanged, a
+// probe's outcome is a step function of the cycle t:
 //
 //	t <  hazT:            the scoreboard reports a data-hazard stall
 //	hazT <= t < structT:  the entry table is structurally full (counted
@@ -86,12 +100,71 @@ func (s *SM) refreshWarp(w *warp) {
 //	t >= stallT:          the scoreboard is clear; only the target
 //	                      unit's busy time holds the candidate back
 //
-// where stallT = max(hazT, structT) and wake folds in the unit.
-type idleCand struct {
+// where stallT = max(hazT, structT).
+type stallGate struct {
 	hazT    int64
 	structT int64
 	stallT  int64
-	wake    int64
+}
+
+// refreshGate recomputes the stall gate of a schedulable warp's primary
+// candidate in the given slot from the scoreboard horizon at this
+// cycle's query point.
+//
+//sbwi:hotpath
+func (s *SM) refreshGate(w *warp, slot int) {
+	pc, mask := s.primaryOf(w, slot)
+	d := s.cfg.IssueDelay
+	hazWB, hasHaz, structWB, hasStruct := s.sb.Horizon(w.id, s.prog.At(pc), s.srcsOf[pc], slot, mask, s.now-d)
+	g := &s.gates[w.id]
+	g.hazT = negInf
+	if hasHaz {
+		g.hazT = hazWB + d
+	}
+	g.structT = g.hazT // empty structural window by default
+	if hasStruct {
+		g.structT = structWB + d
+	}
+	g.stallT = max(g.hazT, g.structT)
+}
+
+// gateOpen charges one scoreboard probe of a warp's primary candidate
+// at the current cycle against its cached gate, ticking the counters
+// exactly as the ReadyAt query it stands for, and reports whether the
+// scoreboard lets the candidate issue.
+//
+//sbwi:hotpath
+func (s *SM) gateOpen(id int) bool {
+	g := &s.gates[id]
+	st := &s.sb.Stats
+	st.Checks++
+	if s.now < g.stallT {
+		st.Stalls++
+		if s.now >= g.hazT {
+			st.Structural++
+		}
+		return false
+	}
+	return true
+}
+
+// primaryOf returns the PC and thread mask of a schedulable warp's
+// candidate in the given slot (slot 0 for the stack model).
+//
+//sbwi:hotpath
+func (s *SM) primaryOf(w *warp, slot int) (int, uint64) {
+	if w.heap != nil {
+		c := w.heap.Slot(slot)
+		return c.PC, c.Mask
+	}
+	pc, mask, _ := w.stack.Active()
+	return pc, mask
+}
+
+// idleCand summarizes one schedulable (warp, slot) candidate during an
+// idle span: its stall gate and its SWI buddy-set residue.
+type idleCand struct {
+	stallGate
 	residue int64 // substitute-probe residue mod numSets; -1 when none
 }
 
@@ -108,8 +181,6 @@ const negInf = math.MinInt64 / 4
 //
 //sbwi:hotpath
 func (s *SM) fastForward(maxCycles int64) error {
-	d := s.cfg.IssueDelay
-	qf := s.now - d - 1 // scoreboard entries written back by qf are dead for the whole span
 	swi := s.cfg.Arch == ArchSWI || s.cfg.Arch == ArchSBISWI
 	numSets := int64(1)
 	if swi {
@@ -121,43 +192,14 @@ func (s *SM) fastForward(maxCycles int64) error {
 	for base, word := range s.readySet {
 		for ; word != 0; word &= word - 1 {
 			id := base<<6 | bits.TrailingZeros64(word)
-			w := s.warps[id]
-			slot := int(s.slotOf[id])
-			var pc int
-			var mask uint64
-			if w.heap != nil {
-				c := w.heap.Slot(slot)
-				pc, mask = c.PC, c.Mask
-			} else {
-				pc, mask, _ = w.stack.Active()
-			}
-			ins := s.prog.At(pc)
-			hazWB, hasHaz, structWB, hasStruct := s.sb.Horizon(w.id, ins, s.srcsOf[pc], slot, mask, qf)
-
-			hazT := int64(negInf)
-			if hasHaz {
-				hazT = hazWB + d
-			}
-			structT := hazT // empty structural window by default
-			if hasStruct {
-				structT = structWB + d
-			}
-			stallT := hazT
-			if structT > stallT {
-				stallT = structT
-			}
-			wakeC := stallT
-			if u := s.units.freeAt(ins.Op.Unit()); u > wakeC {
-				wakeC = u
-			}
-			if wakeC < s.now {
-				wakeC = s.now
-			}
+			g := &s.gates[id]
+			pc, _ := s.primaryOf(s.warps[id], int(s.slotOf[id]))
+			wakeC := max(g.stallT, s.units.freeAt(s.prog.At(pc).Op.Unit()), s.now)
 			residue := int64(-1)
 			if swi {
 				residue = int64(s.memberOf[id])
 			}
-			cands = append(cands, idleCand{hazT: hazT, structT: structT, stallT: stallT, wake: wakeC, residue: residue}) //sbwi:alloc-ok fills s.idleBuf scratch; cap reaches steady state after warm-up
+			cands = append(cands, idleCand{stallGate: *g, residue: residue}) //sbwi:alloc-ok fills s.idleBuf scratch; cap reaches steady state after warm-up
 			if wakeC < wake {
 				wake = wakeC
 			}

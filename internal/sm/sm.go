@@ -35,11 +35,14 @@ type SM struct {
 	// Incrementally maintained scheduler state (see schedfast.go):
 	// readySet holds exactly the warps the per-cycle rescan would probe
 	// past its pre-scoreboard checks, slotOf their primary front-end
-	// slot. Both are refreshed at the events that change eligibility —
-	// issue, barrier release, block launch and retire — instead of being
-	// re-derived from every warp context each cycle.
+	// slot, and gates the scoreboard verdict on that slot's candidate as
+	// a step function of the cycle. All three are refreshed at the
+	// events that change them — issue, barrier release, block launch and
+	// retire — instead of being re-derived from every warp context, and
+	// re-scanned from the scoreboard, each cycle.
 	readySet warpBits
 	slotOf   []int8
+	gates    []stallGate
 	setBits  []warpBits // SWI: per-buddy-set warp masks
 	memberOf []int      // SWI: buddy-set index containing each warp
 	nextPoll int64      // next context-poll cycle
@@ -287,6 +290,7 @@ func newSM(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*SM,
 
 	s.readySet = newWarpBits(cfg.NumWarps)
 	s.slotOf = make([]int8, cfg.NumWarps)
+	s.gates = make([]stallGate, cfg.NumWarps)
 	s.swiTies = make([]candidate, 0, cfg.NumWarps)
 	s.freeBuf = make([]*warp, 0, cfg.NumWarps)
 	s.idleBuf = make([]idleCand, 0, cfg.NumWarps)
@@ -779,8 +783,8 @@ func (s *SM) lastIssueOf(w *warp, slot int) int64 {
 
 // probe builds the candidate for a warp taken from the issuable set:
 // the cached eligibility already holds, leaving only the per-cycle
-// checks — the once-per-cycle issue guard, the scoreboard query and the
-// unit capacity.
+// checks — the once-per-cycle issue guard, the cached scoreboard gate
+// and the unit capacity.
 //
 //sbwi:hotpath
 func (s *SM) probe(w *warp, slot int, out *candidate) bool {
@@ -798,11 +802,15 @@ func (s *SM) probe(w *warp, slot int, out *candidate) bool {
 		}
 		pc, mask, _ = w.stack.Active()
 	}
-	return s.finishCandidate(w, slot, pc, mask, out)
+	if !s.gateOpen(w.id) {
+		return false
+	}
+	return s.unitCandidate(w, slot, pc, mask, s.prog.At(pc), out)
 }
 
-// finishCandidate applies the scoreboard and unit checks shared by all
-// schedulers, filling out on success.
+// finishCandidate applies a full scoreboard query and the unit check to
+// a candidate outside the warp's cached primary slot (the SBI and
+// sequential secondaries), filling out on success.
 //
 //sbwi:hotpath
 func (s *SM) finishCandidate(w *warp, slot int, pc int, mask uint64, out *candidate) bool {
@@ -811,6 +819,14 @@ func (s *SM) finishCandidate(w *warp, slot int, pc int, mask uint64, out *candid
 	if s.sb.ReadyAt(w.id, ins, s.srcsOf[pc], slot, mask, qnow) > qnow {
 		return false
 	}
+	return s.unitCandidate(w, slot, pc, mask, ins, out)
+}
+
+// unitCandidate applies the unit capacity check shared by all
+// schedulers, filling out on success.
+//
+//sbwi:hotpath
+func (s *SM) unitCandidate(w *warp, slot int, pc int, mask uint64, ins *isa.Instruction, out *candidate) bool {
 	lane := w.laneMask(mask)
 	if !s.units.canIssue(ins.Op.Unit(), lane, s.now) {
 		return false
@@ -948,9 +964,10 @@ func (s *SM) swiSecondary(setIdx int, exclude *warp, primUnit isa.Unit, primLane
 }
 
 // swiProbe applies the §4 secondary constraints to one buddy-set
-// candidate — the MAD-row lane-collision filter happens before the
-// scoreboard probe, exactly as in hardware (and so before the
-// scoreboard counters tick) — and returns its lane fit.
+// candidate, always the warp's primary slot — the MAD-row
+// lane-collision filter happens before the scoreboard probe, exactly as
+// in hardware (and so before the scoreboard counters tick), and the
+// probe reads the warp's cached gate — and returns its lane fit.
 //
 //sbwi:hotpath
 func (s *SM) swiProbe(w *warp, slot, pc int, mask uint64, primUnit isa.Unit, primLane uint64, out *candidate) (int, bool) {
@@ -960,7 +977,7 @@ func (s *SM) swiProbe(w *warp, slot, pc int, mask uint64, primUnit isa.Unit, pri
 	if unit == isa.UnitMAD && primUnit == isa.UnitMAD && lane&primLane != 0 {
 		return 0, false // would collide on the shared row
 	}
-	if !s.finishCandidate(w, slot, pc, mask, out) {
+	if !s.gateOpen(w.id) || !s.unitCandidate(w, slot, pc, mask, ins, out) {
 		return 0, false
 	}
 	return popcount(lane), true
