@@ -237,14 +237,17 @@
 // The SM's scheduling loop is event-driven but cycle-exact: candidate
 // eligibility is maintained incrementally at the events that change it
 // (issues, barrier releases, block launch/retire) rather than re-derived
-// from every warp context each cycle, spans in which no instruction can
-// issue are fast-forwarded in one step, and the steady-state issue path
-// performs no heap allocation. None of this changes any number — the
-// modeled cycle count, every statistic and every PRNG tie-break are
-// bit-identical to a naive per-cycle rescan, by construction (the
-// incremental walk probes the same candidates in the same order) and
-// pinned by the golden-stats fixture. See the README's Performance
-// section for how to benchmark and profile.
+// from every warp context each cycle; scheduler probes read a cached
+// per-warp scoreboard horizon, recomputed at those same events, instead
+// of scanning the warp's in-flight entries; spans in which no
+// instruction can issue are fast-forwarded in one step; and the
+// steady-state issue path performs no heap allocation. None of this
+// changes any number — the modeled cycle count, every statistic and
+// every PRNG tie-break are bit-identical to a naive per-cycle rescan, by
+// construction (the incremental walk probes the same candidates in the
+// same order, and a cached horizon counts each probe as the full
+// scoreboard query would) and pinned by the golden-stats fixtures. See
+// the README's Performance section for how to benchmark and profile.
 //
 // # Static analysis
 //

@@ -17,8 +17,9 @@
 package cfg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -414,7 +415,7 @@ func InsertSyncs(p *isa.Program) (*isa.Program, error) {
 	for r, pcDiv := range syncAt {
 		points = append(points, syncPoint{atPC: g.Blocks[r].Start, pcDiv: pcDiv})
 	}
-	sort.Slice(points, func(i, j int) bool { return points[i].atPC < points[j].atPC })
+	slices.SortFunc(points, func(a, b syncPoint) int { return cmp.Compare(a.atPC, b.atPC) }) // reconv blocks start at distinct PCs
 
 	// Two old→new PC maps: relocPC says where old instruction i lands;
 	// targetPC says where a control transfer to old PC i should go. They

@@ -40,8 +40,9 @@
 package replay
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -217,19 +218,7 @@ func (r *Recorder) Finalize() *Trace {
 // nondeterministic order concurrent sinks appended in: the race
 // predicate is a property of the access *set*.
 func findRace(log []access) string {
-	sort.Slice(log, func(i, j int) bool {
-		a, b := &log[i], &log[j]
-		switch {
-		case a.key != b.key:
-			return a.key < b.key
-		case a.cta != b.cta:
-			return a.cta < b.cta
-		case a.epoch != b.epoch:
-			return a.epoch < b.epoch
-		default:
-			return a.tid < b.tid
-		}
-	})
+	slices.SortFunc(log, compareAccess)
 	for lo := 0; lo < len(log); {
 		hi := lo
 		for hi < len(log) && log[hi].key == log[lo].key {
@@ -241,6 +230,28 @@ func findRace(log []access) string {
 		lo = hi
 	}
 	return ""
+}
+
+// compareAccess orders accesses by word, then cta, epoch, tid and
+// store — a total order over every field raceInWord reads, so the
+// unstable sort in findRace cannot change a verdict or its reason.
+func compareAccess(a, b access) int {
+	switch {
+	case a.key != b.key:
+		return cmp.Compare(a.key, b.key)
+	case a.cta != b.cta:
+		return cmp.Compare(a.cta, b.cta)
+	case a.epoch != b.epoch:
+		return cmp.Compare(a.epoch, b.epoch)
+	case a.tid != b.tid:
+		return cmp.Compare(a.tid, b.tid)
+	case a.store != b.store:
+		if a.store {
+			return 1
+		}
+		return -1
+	}
+	return 0
 }
 
 // raceInWord applies the ordering rule to one word's accesses (sorted

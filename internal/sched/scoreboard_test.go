@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"math"
+	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -225,5 +228,120 @@ func TestScoreboardInFlight(t *testing.T) {
 	}
 	if got := sb.InFlight(0, 50); got != 0 {
 		t.Errorf("InFlight after all WB = %d, want 0", got)
+	}
+}
+
+// clone returns an independent copy of the scoreboard's entry tables
+// and counters.
+func (s *Scoreboard) clone() *Scoreboard {
+	c := NewScoreboard(s.mode, len(s.entries), s.perWarp)
+	for w, es := range s.entries {
+		c.entries[w] = append([]Entry(nil), es...)
+	}
+	c.Stats = s.Stats
+	return c
+}
+
+// TestHorizonMatchesReadyAt checks the step function Horizon reports
+// against ReadyAt: for random entry tables under every dependency mode,
+// and for every query cycle q' in a window after the Horizon query, a
+// fresh copy of the scoreboard stalls at q' exactly while
+// q' < max(hazardWB, structWB), and counts a structural stall exactly
+// while hazardWB <= q' < structWB. It also checks that Horizon pruned
+// exactly the entries dead at its query cycle.
+func TestHorizonMatchesReadyAt(t *testing.T) {
+	const q = 20
+	rng := rand.New(rand.NewPCG(1, 2))
+	slotMasks := [3]uint64{0x000F, 0x00F0, 0x0F00}
+	for _, mode := range []DepMode{DepWarp, DepMatrix, DepMask} {
+		for trial := 0; trial < 2000; trial++ {
+			perWarp := 1 + rng.IntN(6)
+			sb := NewScoreboard(mode, 1, perWarp)
+			masks := slotMasks
+			for n := rng.IntN(perWarp + 2); n > 0; n-- {
+				slot := rng.IntN(3)
+				dst := isa.Reg(rng.IntN(6))
+				sb.Issue(0, mkIns(isa.OpIAdd, dst, 30, 30), slot, masks[slot], int64(q-8+rng.IntN(40)))
+				if mode == DepMatrix && rng.IntN(2) == 0 {
+					pre := masks
+					masks[0], masks[1], masks[2] = uint64(rng.Uint32())&0xFFF, uint64(rng.Uint32())&0xFFF, uint64(rng.Uint32())&0xFFF
+					sb.Transition(0, Transition(pre, masks))
+				}
+			}
+			var cand *isa.Instruction
+			if rng.IntN(3) == 0 {
+				cand = &isa.Instruction{Op: isa.OpStG, Dst: isa.RegNone, SrcA: isa.Reg(rng.IntN(6)), SrcB: isa.RegNone, SrcC: isa.Reg(rng.IntN(6))}
+			} else {
+				cand = mkIns(isa.OpIMul, isa.Reg(rng.IntN(6)), isa.Reg(rng.IntN(6)), isa.Reg(rng.IntN(6)))
+			}
+			slot := rng.IntN(3)
+			mask := uint64(rng.Uint32()) & 0xFFF
+
+			var live []Entry
+			for _, e := range sb.entries[0] {
+				if e.WB > q {
+					live = append(live, e)
+				}
+			}
+			hazWB, hasHaz, structWB, hasStruct := sb.Horizon(0, cand, srcsOf(cand), slot, mask, q)
+			if got := sb.entries[0]; len(got) != len(live) || (len(live) > 0 && !reflect.DeepEqual(got, live)) {
+				t.Fatalf("%v trial %d: Horizon(%d) left entries %v, want the live ones %v", mode, trial, q, got, live)
+			}
+			haz, str := int64(math.MinInt64), int64(math.MinInt64)
+			if hasHaz {
+				haz = hazWB
+			}
+			if hasStruct {
+				str = structWB
+			}
+			for qq := int64(q); qq < q+45; qq++ {
+				c := sb.clone()
+				stalled := c.ReadyAt(0, cand, srcsOf(cand), slot, mask, qq) > qq
+				structural := c.Stats.Structural == 1
+				if want := qq < max(haz, str); stalled != want {
+					t.Fatalf("%v trial %d, q'=%d: ReadyAt stalled=%v, Horizon predicts %v (hazard %d/%v, struct %d/%v)",
+						mode, trial, qq, stalled, want, hazWB, hasHaz, structWB, hasStruct)
+				}
+				if want := haz <= qq && qq < str; structural != want {
+					t.Fatalf("%v trial %d, q'=%d: structural stall=%v, Horizon predicts %v (hazard %d/%v, struct %d/%v)",
+						mode, trial, qq, structural, want, hazWB, hasHaz, structWB, hasStruct)
+				}
+			}
+		}
+	}
+}
+
+// TestHorizonBoundsEntries drives one warp the way the SM's cached
+// stall gate does — Horizon after every issue, Issue whenever the last
+// Horizon says the candidate may go, and never ReadyAt — and checks that
+// the warp's entry table stays within perWarp+1 entries. Without the
+// pruning in Horizon nothing would ever drop dead entries on this path.
+func TestHorizonBoundsEntries(t *testing.T) {
+	const perWarp = 6
+	rng := rand.New(rand.NewPCG(3, 4))
+	sb := NewScoreboard(DepWarp, 1, perWarp)
+	cand := mkIns(isa.OpIAdd, 1, 2, 3)
+	gate, issues := int64(math.MinInt64), 0
+	for now := int64(0); now < 20000; now++ {
+		if now < gate {
+			continue
+		}
+		sb.Issue(0, cand, 0, 1, now+1+int64(rng.IntN(40)))
+		issues++
+		if n := len(sb.entries[0]); n > perWarp+1 {
+			t.Fatalf("cycle %d: %d entries after an issue, want at most %d", now, n, perWarp+1)
+		}
+		cand = mkIns(isa.OpIAdd, isa.Reg(rng.IntN(20)), isa.Reg(20+rng.IntN(4)), isa.Reg(20+rng.IntN(4)))
+		hazWB, hasHaz, structWB, hasStruct := sb.Horizon(0, cand, srcsOf(cand), 0, 1, now)
+		gate = math.MinInt64
+		if hasHaz {
+			gate = hazWB
+		}
+		if hasStruct {
+			gate = max(gate, structWB)
+		}
+	}
+	if issues < 1000 {
+		t.Fatalf("only %d issues: the test no longer fills the entry table", issues)
 	}
 }
