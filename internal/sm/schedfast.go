@@ -161,13 +161,6 @@ func (s *SM) primaryOf(w *warp, slot int) (int, uint64) {
 	return pc, mask
 }
 
-// idleCand summarizes one schedulable (warp, slot) candidate during an
-// idle span: its stall gate and its SWI buddy-set residue.
-type idleCand struct {
-	stallGate
-	residue int64 // substitute-probe residue mod numSets; -1 when none
-}
-
 // negInf is a sentinel "always in the past" threshold, kept far from
 // the int64 edge so adding IssueDelay cannot overflow.
 const negInf = math.MinInt64 / 4
@@ -181,31 +174,14 @@ const negInf = math.MinInt64 / 4
 //
 //sbwi:hotpath
 func (s *SM) fastForward(maxCycles int64) error {
-	swi := s.cfg.Arch == ArchSWI || s.cfg.Arch == ArchSBISWI
-	numSets := int64(1)
-	if swi {
-		numSets = int64(s.lookup.NumSets())
-	}
-
-	cands := s.idleBuf[:0]
 	wake := int64(math.MaxInt64)
 	for base, word := range s.readySet {
 		for ; word != 0; word &= word - 1 {
 			id := base<<6 | bits.TrailingZeros64(word)
-			g := &s.gates[id]
 			pc, _ := s.primaryOf(s.warps[id], int(s.slotOf[id]))
-			wakeC := max(g.stallT, s.units.freeAt(s.prog.At(pc).Op.Unit()), s.now)
-			residue := int64(-1)
-			if swi {
-				residue = int64(s.memberOf[id])
-			}
-			cands = append(cands, idleCand{stallGate: *g, residue: residue}) //sbwi:alloc-ok fills s.idleBuf scratch; cap reaches steady state after warm-up
-			if wakeC < wake {
-				wake = wakeC
-			}
+			wake = min(wake, max(s.gates[id].stallT, s.units.freeAt(s.prog.At(pc).Op.Unit())))
 		}
 	}
-	s.idleBuf = cands
 
 	// The reference loop would burn idle cycles one at a time until the
 	// wake-up — or until the cycle limit trips with s.now just past it.
@@ -215,7 +191,7 @@ func (s *SM) fastForward(maxCycles int64) error {
 	if wake <= s.now {
 		return nil
 	}
-	s.accountIdle(cands, s.now, wake-1, numSets)
+	s.accountIdle(s.now, wake-1)
 	s.now = wake
 	if s.now > maxCycles {
 		return s.livelockErr(maxCycles)
@@ -228,25 +204,31 @@ func (s *SM) fastForward(maxCycles int64) error {
 // each cycle the primary scheduler probes every schedulable candidate
 // once, and — on the SWI architectures, with no primary found — the
 // substitute secondary probes the candidates of buddy set (cycle mod
-// numSets) a second time.
+// numSets) a second time. Every probe's verdict is read off the
+// candidate's stall gate.
 //
 //sbwi:hotpath
-func (s *SM) accountIdle(cands []idleCand, a, b int64, numSets int64) {
+func (s *SM) accountIdle(a, b int64) {
 	st := &s.sb.Stats
-	for i := range cands {
-		c := &cands[i]
-		stallHi := min(b, c.stallT-1)
-		structLo := max(a, c.hazT)
-		structHi := min(b, c.structT-1)
+	numSets := int64(len(s.setBits)) // 0 unless the architecture has SWI
+	for base, word := range s.readySet {
+		for ; word != 0; word &= word - 1 {
+			id := base<<6 | bits.TrailingZeros64(word)
+			g := &s.gates[id]
+			stallHi := min(b, g.stallT-1)
+			structLo := max(a, g.hazT)
+			structHi := min(b, g.structT-1)
 
-		st.Checks += count(a, b)
-		st.Stalls += count(a, stallHi)
-		st.Structural += count(structLo, structHi)
+			st.Checks += count(a, b)
+			st.Stalls += count(a, stallHi)
+			st.Structural += count(structLo, structHi)
 
-		if c.residue >= 0 {
-			st.Checks += countResidue(a, b, c.residue, numSets)
-			st.Stalls += countResidue(a, stallHi, c.residue, numSets)
-			st.Structural += countResidue(structLo, structHi, c.residue, numSets)
+			if numSets > 0 {
+				r := int64(s.memberOf[id])
+				st.Checks += countResidue(a, b, r, numSets)
+				st.Stalls += countResidue(a, stallHi, r, numSets)
+				st.Structural += countResidue(structLo, structHi, r, numSets)
+			}
 		}
 	}
 }

@@ -57,7 +57,6 @@ type SM struct {
 	freeBuf  []*warp
 	txnBuf   []uint32
 	txnReady []int64
-	idleBuf  []idleCand
 
 	// rec / rp wire the trace-replay engine (package replay): with rec,
 	// this full simulation additionally streams per-thread branch
@@ -293,7 +292,6 @@ func newSM(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*SM,
 	s.gates = make([]stallGate, cfg.NumWarps)
 	s.swiTies = make([]candidate, 0, cfg.NumWarps)
 	s.freeBuf = make([]*warp, 0, cfg.NumWarps)
-	s.idleBuf = make([]idleCand, 0, cfg.NumWarps)
 	s.txnBuf = make([]uint32, 0, cfg.WarpWidth)
 	s.txnReady = make([]int64, 0, cfg.WarpWidth)
 	if cfg.Arch == ArchSWI || cfg.Arch == ArchSBISWI {
@@ -788,23 +786,10 @@ func (s *SM) lastIssueOf(w *warp, slot int) int64 {
 //
 //sbwi:hotpath
 func (s *SM) probe(w *warp, slot int, out *candidate) bool {
-	var pc int
-	var mask uint64
-	if w.heap != nil {
-		c := w.heap.Slot(slot)
-		if c.LastIssue >= s.now {
-			return false
-		}
-		pc, mask = c.PC, c.Mask
-	} else {
-		if w.lastIssue >= s.now {
-			return false
-		}
-		pc, mask, _ = w.stack.Active()
-	}
-	if !s.gateOpen(w.id) {
+	if s.lastIssueOf(w, slot) >= s.now || !s.gateOpen(w.id) {
 		return false
 	}
+	pc, mask := s.primaryOf(w, slot)
 	return s.unitCandidate(w, slot, pc, mask, s.prog.At(pc), out)
 }
 
