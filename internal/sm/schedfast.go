@@ -31,10 +31,9 @@ package sm
 // loop by construction: they probe the same candidates in the same
 // ascending-warp order, and a gate ticks the scoreboard counters
 // exactly as the ReadyAt query it replaces, so counters and
-// tie-breaking draws are identical. (The retained reference loop that
-// used to pin this equivalence in-tree was retired once its history was
-// established; the golden-stats fixtures still pin absolute results,
-// scoreboard counters included, on every architecture.)
+// tie-breaking draws are identical. The golden-stats fixtures pin the
+// absolute results, scoreboard counters included, on every
+// architecture.
 
 import (
 	"math"
