@@ -3,7 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand/v2"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -284,7 +284,7 @@ func TestHorizonMatchesReadyAt(t *testing.T) {
 				}
 			}
 			hazWB, hasHaz, structWB, hasStruct := sb.Horizon(0, cand, srcsOf(cand), slot, mask, q)
-			if got := sb.entries[0]; len(got) != len(live) || (len(live) > 0 && !reflect.DeepEqual(got, live)) {
+			if got := sb.entries[0]; !slices.Equal(got, live) {
 				t.Fatalf("%v trial %d: Horizon(%d) left entries %v, want the live ones %v", mode, trial, q, got, live)
 			}
 			haz, str := int64(math.MinInt64), int64(math.MinInt64)
