@@ -1,10 +1,12 @@
 package device
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +15,8 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/mem"
+	"repro/internal/noc"
 	"repro/internal/sm"
 )
 
@@ -205,4 +209,94 @@ func checkGolden[E interface{ fields() []goldenField }](t *testing.T, path strin
 		t.Errorf("statistics drifted from the golden fixture %s (%d numbers):\n  %s\nIf the change is intentional, regenerate with `go test ./internal/device -run TestGolden -update`.",
 			path, len(drift), strings.Join(drift, "\n  "))
 	}
+}
+
+// engineGoldenEntry pins one suite kernel through one launch engine
+// shape: the default fixture's counters plus how the launch was laid
+// out over the device (modeled wall-clock, per-SM cycle packing, wave
+// and port counts) and the shared hierarchy's traffic.
+type engineGoldenEntry struct {
+	goldenEntry
+	DeviceCycles   int64   `json:"deviceCycles"`
+	SMCycles       []int64 `json:"smCycles"`
+	Waves          int     `json:"waves"`
+	NoCPorts       int     `json:"nocPorts"`
+	L2Loads        uint64  `json:"l2Loads"`
+	L2Stores       uint64  `json:"l2Stores"`
+	NoCRequests    uint64  `json:"nocRequests"`
+	NoCQueueCycles uint64  `json:"nocQueueCycles"`
+}
+
+func (g engineGoldenEntry) fields() []goldenField {
+	return append(g.goldenEntry.fields(),
+		goldenField{"deviceCycles", g.DeviceCycles},
+		goldenField{"smCycles", fmt.Sprint(g.SMCycles)},
+		goldenField{"waves", g.Waves},
+		goldenField{"nocPorts", g.NoCPorts},
+		goldenField{"l2Loads", g.L2Loads},
+		goldenField{"l2Stores", g.L2Stores},
+		goldenField{"nocRequests", g.NoCRequests},
+		goldenField{"nocQueueCycles", g.NoCQueueCycles},
+	)
+}
+
+const engineGoldenPath = "testdata/golden_engine_stats.json"
+
+// TestGoldenEngineStats runs every suite kernel on SBI+SWI through each
+// launch shape the device supports — flat partitioned at one and three
+// SMs, the modeled memory system whole-grid and partitioned, and a
+// trace-replayed partitioned memory-system run — and compares the
+// results against a fixture keyed "shape/kernel". The default fixture
+// pins only the whole-grid flat path; this one pins the rest.
+func TestGoldenEngineStats(t *testing.T) {
+	memsys := []Option{WithL2(mem.DefaultL2()), WithInterconnect(noc.Default())}
+	shapes := []struct {
+		name   string
+		replay bool
+		opts   []Option
+	}{
+		{"flat-part-1", false, []Option{WithSMs(1), WithGridPartition(true)}},
+		{"flat-part-3", false, []Option{WithSMs(3), WithGridPartition(true)}},
+		{"memsys-whole", false, memsys},
+		{"memsys-part-4", false, append([]Option{WithSMs(4), WithGridPartition(true)}, memsys...)},
+		{"replay-memsys-part-4", true, append([]Option{WithSMs(4), WithGridPartition(true), WithReplayLog(io.Discard)}, memsys...)},
+	}
+	got := make(map[string]engineGoldenEntry)
+	for _, sh := range shapes {
+		dev, err := New(append([]Option{WithArch(sm.ArchSBISWI)}, sh.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range kernels.All() {
+			l, err := b.NewLaunch(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res *sm.Result
+			if sh.replay {
+				res, err = dev.RunTraceReplay(context.Background(), l)
+			} else {
+				res, err = dev.Run(context.Background(), l)
+			}
+			if err != nil {
+				t.Fatalf("%s/%s: %v", sh.name, b.Name, err)
+			}
+			if !bytes.Equal(l.Global, b.Expected()) {
+				t.Fatalf("%s/%s: simulation diverged from the reference oracle", sh.name, b.Name)
+			}
+			s := &res.Stats
+			got[sh.name+"/"+b.Name] = engineGoldenEntry{
+				goldenEntry:    goldenFromStats(s),
+				DeviceCycles:   res.DeviceCycles(),
+				SMCycles:       res.SMCycles,
+				Waves:          len(res.Waves),
+				NoCPorts:       len(res.NoCPorts),
+				L2Loads:        s.Mem.L2.Loads,
+				L2Stores:       s.Mem.L2.Stores,
+				NoCRequests:    s.Mem.NoC.Requests,
+				NoCQueueCycles: s.Mem.NoC.QueueCycles,
+			}
+		}
+	}
+	checkGolden(t, engineGoldenPath, got)
 }
