@@ -217,16 +217,14 @@ func BenchmarkAblationMemSplit(b *testing.B) {
 // BenchmarkSuiteRunner compares the serial seed-style suite loop (one
 // sm.Run per benchmark, oracle-checked, in order) against the device
 // batch runner, which dispatches the same oracle-checked simulations
-// longest-job-first across the worker pool and routes the heavy tail
-// through the wave-partitioned engine (WithAutoPartition). The suite
-// is tail-bound by a handful of heavy kernels, so the batch runner's
-// wall-clock approaches max(heaviest wave, total/workers) rather than
-// dropping linearly with the core count; the device-parallel-w1/w4/wN
-// axis makes the worker scaling visible in bench output. Per-kernel
-// statistics stay bit-identical to the serial loop except for the
-// auto-partitioned tail entries, which carry the partitioned timing
-// model's numbers (deterministic for every worker count). No
-// simulation cache is attached: every iteration simulates for real.
+// longest-job-first across the worker pool, one goroutine per entry.
+// The suite is tail-bound by a handful of heavy kernels, so the batch
+// runner's wall-clock approaches max(heaviest entry, total/workers)
+// rather than dropping linearly with the core count; the
+// device-parallel-w1/w4/wN axis makes the worker scaling visible in
+// bench output. Per-kernel statistics stay bit-identical to the serial
+// loop. No simulation cache is attached: every iteration simulates for
+// real.
 func BenchmarkSuiteRunner(b *testing.B) {
 	suite := Benchmarks()
 	b.Run("serial-seed", func(b *testing.B) {
@@ -247,7 +245,7 @@ func BenchmarkSuiteRunner(b *testing.B) {
 	})
 	runDevice := func(b *testing.B, opts ...Option) {
 		b.Helper()
-		dev, err := NewDevice(append([]Option{WithArch(SBI), WithAutoPartition(true)}, opts...)...)
+		dev, err := NewDevice(append([]Option{WithArch(SBI)}, opts...)...)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -119,8 +119,7 @@ func TestPartitionedDeterminism(t *testing.T) {
 // index and produces bit-identical statistics for every worker count —
 // both on a cold cost registry (static estimates) and a warm one
 // (measured cycles), since the suite runs repeatedly within one
-// process. Auto-partitioning is enabled so the heavy-tail routing is
-// exercised under every worker count too.
+// process.
 func TestLJFDispatchOrderAndDeterminism(t *testing.T) {
 	suite := suiteSubset(t)
 	var baseline []Stats
@@ -129,7 +128,6 @@ func TestLJFDispatchOrderAndDeterminism(t *testing.T) {
 			dev, err := NewDevice(
 				WithArch(SBISWI),
 				WithWorkers(workers),
-				WithAutoPartition(true),
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -156,57 +154,6 @@ func TestLJFDispatchOrderAndDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(stats, baseline) {
 				t.Errorf("stats with %d workers (pass %d) differ from the 1-worker baseline", workers, pass)
 			}
-		}
-	}
-}
-
-// TestAutoPartitionRoutesExactlyTheTail pins the auto-partition
-// policy's semantics: a heavy entry (static cost above the batch mean,
-// multi-wave grid) carries the partitioned engine's statistics, while
-// light entries stay cycle-exact with the whole-grid path. With the
-// calibrated cost table, Histogram (~74 modeled cycles per thread —
-// the batch's true wall-clock dominator, which raw grid×block ranked
-// lightest) is the only entry above the batch mean.
-func TestAutoPartitionRoutesExactlyTheTail(t *testing.T) {
-	suite := suiteSubset(t) // Histogram, BFS, DWTHaar1D: only Histogram is above the calibrated mean
-	auto, err := NewDevice(WithArch(SBISWI), WithAutoPartition(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := NewDevice(WithArch(SBISWI))
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := NewDevice(WithArch(SBISWI), WithGridPartition(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	autoRes, err := auto.RunSuite(context.Background(), suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flatRes, err := flat.RunSuite(context.Background(), suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	partRes, err := part.RunSuite(context.Background(), suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range suite {
-		if autoRes[i].Err != nil || flatRes[i].Err != nil || partRes[i].Err != nil {
-			t.Fatalf("%s: %v / %v / %v", b.Name, autoRes[i].Err, flatRes[i].Err, partRes[i].Err)
-		}
-		heavy := b.Name == "Histogram"
-		want := flatRes[i].Result.Stats
-		if heavy {
-			want = partRes[i].Result.Stats
-		}
-		if !reflect.DeepEqual(autoRes[i].Result.Stats, want) {
-			t.Errorf("%s (heavy=%v): auto-partitioned stats do not match the expected path", b.Name, heavy)
-		}
-		if heavy && reflect.DeepEqual(autoRes[i].Result.Stats, flatRes[i].Result.Stats) {
-			t.Errorf("%s: expected the partitioned timing model to differ from the whole-grid run", b.Name)
 		}
 	}
 }

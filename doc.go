@@ -54,12 +54,13 @@
 // The device's execution model separates three independent axes:
 //
 //   - WithSMs(n) sets the modeled hardware width. Together with
-//     WithGridPartition(true) it dispatches a launch's CTA waves across
-//     n independent SM instances; Result.DeviceCycles reports the
-//     modeled wall-clock under that packing.
-//   - WithWorkers(n) bounds host parallelism — how many SM simulations
-//     run concurrently on the host, across CTA waves and batch entries
-//     alike.
+//     WithGridPartition(true) it packs a launch's CTA waves onto n SMs
+//     (wave j on SM j mod n); Result.DeviceCycles reports the modeled
+//     wall-clock under that packing.
+//   - WithWorkers(n) bounds host parallelism — how many launches
+//     simulate concurrently on the host, stream launches and batch
+//     entries alike. One goroutine simulates each launch, whatever its
+//     SM count.
 //   - Device.RunSuite runs a whole benchmark batch through the worker
 //     pool and validates every result against the benchmark's Go
 //     oracle; the experiment harness (NewExperiments) is built on it,
@@ -126,28 +127,18 @@
 // acquires a run-queue slot for its simulation, so a batch's
 // wall-clock is no longer bound by whichever heavy kernel a naive
 // schedule starts last and the batch shares the pool with concurrent
-// streams. Two options extend it:
+// streams.
 //
-//   - WithAutoPartition(true) routes the batch's heavy tail — entries
-//     whose static cost exceeds the batch mean and whose grids span
-//     several CTA waves — through the wave-partitioned engine, so even
-//     one dominant kernel spreads across workers. The decision is a
-//     pure function of the batch (never of worker/SM counts or
-//     measured timings): results stay bit-identical for every
-//     parallelism setting, but auto-partitioned entries carry the
-//     partitioned timing model's numbers, which is why the option is
-//     off by default.
-//   - WithSimCache(NewSimCache()) memoizes oracle-validated entries
-//     across RunSuite passes and across devices sharing the cache. The
-//     key digests the benchmark, the full configuration
-//     (Config.Fingerprint covers every field reflectively — a cache
-//     key that cannot go stale as Config grows), the partitioning
-//     mode, the modeled memory system and, where it matters, the SM
-//     count. What invalidates the cache is therefore exactly "any of
-//     those changed"; worker counts never do, because they never
-//     change results. Concurrent passes deduplicate in-flight cells.
-//     Results served from the cache are shared and must be treated as
-//     read-only.
+// WithSimCache(NewSimCache()) memoizes oracle-validated entries across
+// RunSuite passes and across devices sharing the cache. The key digests
+// the benchmark, the full configuration (Config.Fingerprint covers
+// every field reflectively — a cache key that cannot go stale as Config
+// grows), the partitioning mode, the modeled memory system and, where
+// it matters, the SM count. What invalidates the cache is therefore
+// exactly "any of those changed"; worker counts never do, because they
+// never change results. Concurrent passes deduplicate in-flight cells.
+// Results served from the cache are shared and must be treated as
+// read-only.
 //
 // The experiments runner uses both layers implicitly: every figure's
 // simulations go through one shared cache, and benchmark inputs and

@@ -31,9 +31,8 @@ import "repro/internal/kernels"
 // (TestCalibrationCoversSuite fails when a suite benchmark is missing
 // from the table, so new benchmarks cannot silently fall back.)
 //
-// Calibration only ever steers admission order and the auto-partition
-// heavy-tail routing — both pure functions of the batch — so a stale
-// weight degrades scheduling, never results. Once a cell has run in
+// Calibration only ever steers admission order — a pure function of
+// the batch — so a stale weight degrades scheduling, never results. Once a cell has run in
 // this process its measured cycles replace the estimate entirely
 // (estimatedCost in simcache.go).
 var calibratedCyclesPerThread = map[string]float64{
@@ -65,9 +64,8 @@ var calibratedCyclesPerThread = map[string]float64{
 // count scaled by the benchmark's calibrated cycles-per-thread weight.
 // Unknown benchmarks (user-defined suites) fall back to weight 1 —
 // plain thread count, the pre-calibration behavior. Deliberately a
-// pure function of the benchmark: the estimate feeds scheduling and
-// the auto-partition plan, both of which must be host- and
-// pass-independent.
+// pure function of the benchmark: the estimate feeds scheduling, which
+// must be host- and pass-independent.
 func staticCost(b *kernels.Benchmark) int64 {
 	threads := int64(b.Grid) * int64(b.Block)
 	if w, ok := calibratedCyclesPerThread[b.Name]; ok {

@@ -1,6 +1,6 @@
 // Package device implements the device-level simulation engine: a GPU
-// of N independent streaming multiprocessors fed from one CTA queue,
-// an asynchronous stream/event launch API, and a batch runner that
+// of N streaming multiprocessors fed from one CTA queue, an
+// asynchronous stream/event launch API, and a batch runner that
 // executes whole benchmark suites concurrently on a bounded worker
 // pool.
 //
@@ -8,11 +8,11 @@
 //
 // Everything the device simulates is admitted by one RunQueue — a
 // counting semaphore granting slots longest-job-first (see queue.go).
-// Device.Run, stream launches (stream.go), RunSuite entries and the
-// CTA waves of partitioned grids all acquire a slot there for the
-// duration of their SM simulation, so interactive streams and batch
-// suites share a single fairness/cost policy and one host-parallelism
-// bound. Run itself is sugar for a one-launch stream:
+// Device.Run, stream launches (stream.go) and RunSuite entries each
+// acquire one slot for the duration of their simulation, so
+// interactive streams and batch suites share a single fairness/cost
+// policy and one host-parallelism bound. Run itself is sugar for a
+// one-launch stream:
 //
 //	func (d *Device) Run(ctx, l) { return d.NewStream().Launch(ctx, l).Wait() }
 //
@@ -21,30 +21,28 @@
 //
 // # Execution model
 //
-// By default a launch runs whole on one SM instance, cycle-exact with
-// the classic sm.Run path — Stats are bit-identical to it for every
-// kernel, whatever the SM or worker count, which keeps the paper
-// reproduction stable while RunSuite fans independent launches out
-// across the worker pool.
+// Every launch runs on one goroutine through one engine, the wave
+// driver in memsys.go. By default a launch is one wave on one SM over
+// the live memory image, cycle-exact with the classic sm.Run path —
+// Stats are bit-identical to it for every kernel, whatever the SM or
+// worker count, which keeps the paper reproduction stable while
+// RunSuite runs independent launches side by side on the worker pool.
 //
 // With WithGridPartition the grid is instead split into waves of
 // contiguous CTAs, each wave sized to fill one SM's warp contexts
-// (sm.ResidentCTAs), and dispatched across the device's SMs. Every wave
-// is simulated on a fresh, independent SM instance starting from a
-// snapshot of the pre-launch global image; the per-wave memory images
-// are then folded back with exec.MergeWaves, which asserts the
-// write-sharing contract (different CTAs may only write the same
-// location with the same value), and the per-wave statistics are merged
-// in wave order with Stats.Merge. Under the default flat-latency
-// memory model the wave decomposition depends only on the launch and
-// the SM configuration — never on the SM count or the host worker pool
-// — so partitioned Stats are bit-identical for any WithSMs/WithWorkers
+// (sm.ResidentCTAs). Wave j runs on SM j mod N after that SM's earlier
+// waves, on a fresh SM starting from a snapshot of the pre-launch
+// global image; the per-wave images are folded back with
+// exec.MergeWaves, which asserts the write-sharing contract (different
+// CTAs may only write the same location with the same value), and the
+// per-wave statistics are merged in wave order with Stats.Merge. Under
+// the default flat-latency memory model waves share nothing, so
+// partitioned Stats are bit-identical for any WithSMs/WithWorkers
 // setting; relative to the unpartitioned path they trade the
-// cross-wave pipelining of one big SM run for wave-level parallel
-// scaling (each wave starts on a cold SM), leaving functional results
-// untouched. The SM count decides the modeled wall-clock: wave j runs
-// on SM j mod N, and Result.SMCycles/DeviceCycles report how the waves
-// pack onto the configured SMs.
+// cross-wave pipelining of one big SM run for a cold SM per wave,
+// leaving functional results untouched. The SM count decides the
+// modeled wall-clock: Result.SMCycles/DeviceCycles report how the
+// waves pack onto the configured SMs.
 //
 // # Batch scheduling and memoization
 //
@@ -55,18 +53,12 @@
 // simulation — keeping a batch's wall-clock near max(heaviest entry,
 // total/workers) instead of tail-bound by whichever heavy kernel a
 // naive schedule dispatched last, while the batch shares the pool
-// with concurrent streams. With
-// WithAutoPartition the heavy tail itself is decomposed: entries whose
-// static cost exceeds the batch mean and whose grids span several CTA
-// waves run through the partitioned engine, so even a single dominant
-// kernel spreads across the pool. With WithSimCache, oracle-validated
-// entries are memoized by (benchmark, configuration fingerprint,
-// partitioning, memory system, SM count) and shared across passes and
-// devices. All three mechanisms are result-neutral by construction:
-// dispatch order and worker count never influence statistics, the
-// cache key is sound (sm.Config.Fingerprint digests every
-// configuration field), and the partition plan is a pure function of
-// the batch.
+// with concurrent streams. With WithSimCache, oracle-validated entries
+// are memoized by (benchmark, configuration fingerprint, partitioning,
+// memory system, SM count) and shared across passes and devices. Both
+// mechanisms are result-neutral by construction: dispatch order and
+// worker count never influence statistics, and the cache key is sound
+// (sm.Config.Fingerprint digests every configuration field).
 //
 // # Shared memory system
 //
@@ -76,17 +68,16 @@
 // MSHR-backed shared L2 (mem.L2) in front of the single DRAM port —
 // inline, at the cycle each transaction leaves its L1, with the
 // returned ready time flowing straight back into scoreboard wake-up.
-// Unpartitioned runs wire the single SM to a one-port crossbar;
-// partitioned runs interleave every CTA wave against one shared
-// memory-system clock on a single driving goroutine, so all waves
-// contend for the same L2/NoC/DRAM state as they execute (see
-// memsys.go for the interleaver and its determinism argument).
-// Contention-aware results — Stats.Mem.L2, Stats.Mem.NoC, per-wave
-// Stats, SMCycles and DeviceCycles — are bit-identical across host
-// worker counts and repeat runs; they depend on the SM count, which is
-// an architectural parameter deciding how many waves share the
-// hierarchy at once. Both options are off by default, keeping every
-// default-path number seed-exact.
+// A whole-grid launch wires its single SM to a one-port crossbar; a
+// partitioned launch interleaves its CTA waves against one shared
+// memory-system clock, so all waves contend for the same L2/NoC/DRAM
+// state as they execute (see memsys.go for the driver and its
+// determinism argument). Contention-aware results — Stats.Mem.L2,
+// Stats.Mem.NoC, per-wave Stats, SMCycles and DeviceCycles — are
+// bit-identical across host worker counts and repeat runs; they depend
+// on the SM count, which is an architectural parameter deciding how
+// many waves share the hierarchy at once. Both options are off by
+// default, keeping every default-path number seed-exact.
 package device
 
 import (
@@ -121,7 +112,6 @@ type Device struct {
 	sms       int
 	workers   int
 	partition bool
-	autoPart  bool
 
 	// queue admits every simulation the device performs (see queue.go);
 	// it is private unless WithRunQueue shared one across devices.
@@ -182,7 +172,6 @@ type settings struct {
 	sms           int
 	workers       int
 	partition     bool
-	autoPart      bool
 	cache         *SimCache
 	l2            *mem.L2Config
 	noc           *noc.Config
@@ -209,8 +198,8 @@ func WithConfig(cfg sm.Config) Option {
 }
 
 // WithSMs sets the number of streaming multiprocessors (default 1).
-// More SMs shorten the modeled device wall-clock (Result.DeviceCycles)
-// and widen host-side parallelism. Under the default flat-latency
+// With WithGridPartition, more SMs shorten the modeled device
+// wall-clock (Result.DeviceCycles). Under the default flat-latency
 // memory model the SM count never changes merged statistics; with the
 // modeled shared memory system (WithL2/WithInterconnect) it decides how
 // many waves contend for the hierarchy at once, so contention counters
@@ -220,10 +209,10 @@ func WithSMs(n int) Option {
 }
 
 // WithWorkers bounds the host goroutines simulating concurrently across
-// everything the device runs (stream launches, waves and suite entries
-// alike). Default: GOMAXPROCS. Worker count never changes results.
-// Ignored when WithRunQueue shares a queue — the queue's slot count is
-// the bound then.
+// everything the device runs (stream launches and suite entries alike;
+// each launch is simulated by one goroutine). Default: GOMAXPROCS.
+// Worker count never changes results. Ignored when WithRunQueue shares
+// a queue — the queue's slot count is the bound then.
 func WithWorkers(n int) Option {
 	return func(s *settings) { s.workers = n }
 }
@@ -247,29 +236,13 @@ func WithStreamQueueDepth(n int) Option {
 	return func(s *settings) { s.streamDepth = n }
 }
 
-// WithGridPartition enables intra-launch parallelism: the grid is split
-// into SM-sized CTA waves dispatched across the device's SMs (see the
+// WithGridPartition selects the partitioned timing model: the grid is
+// split into SM-sized CTA waves packed onto the device's SMs (see the
 // package comment for the exact semantics and the write-sharing
 // contract it relies on). Off by default, which keeps Run cycle-exact
 // with the classic single-SM path.
 func WithGridPartition(on bool) Option {
 	return func(s *settings) { s.partition = on }
-}
-
-// WithAutoPartition lets RunSuite route individual heavy entries
-// through the wave-partitioned engine on its own: an entry whose
-// static cost estimate exceeds the batch mean and whose grid
-// decomposes into at least two CTA waves is simulated as parallel
-// waves (exactly as under WithGridPartition), while light entries keep
-// the whole-grid path. The decision is a pure function of the batch —
-// never of the worker count, the SM count or measured timings — so
-// RunSuite results remain bit-identical across every parallelism
-// setting and across passes. Off by default: the default suite path
-// stays cycle-exact with the seed (the golden fixture pins it), and
-// auto-partitioned entries carry the partitioned timing model's
-// numbers (each wave starts on a cold SM). Device.Run is unaffected.
-func WithAutoPartition(on bool) Option {
-	return func(s *settings) { s.autoPart = on }
 }
 
 // WithSimCache attaches a simulation cache to the device: RunSuite
@@ -348,7 +321,6 @@ func New(opts ...Option) (*Device, error) {
 		sms:           st.sms,
 		workers:       queue.Workers(),
 		partition:     st.partition,
-		autoPart:      st.autoPart,
 		cache:         st.cache,
 		queue:         queue,
 		streamDepth:   st.streamDepth,
@@ -405,22 +377,12 @@ func (d *Device) Workers() int { return d.workers }
 // concurrent Run calls interleave with streams and suites under the
 // run queue's single admission policy. Global memory is mutated in
 // place, exactly like sm.Run. The context cancels the simulation
-// promptly (the SM model polls it about every 1k cycles); a cancelled
-// partitioned run leaves the launch's memory image unchanged, while
-// the unpartitioned path may have partially mutated it just as sm.Run
-// would.
+// promptly (the wave driver polls it about every 1k cycles); a
+// cancelled partitioned run leaves the launch's memory image
+// unchanged, while the unpartitioned path may have partially mutated
+// it just as sm.Run would.
 func (d *Device) Run(ctx context.Context, l *exec.Launch) (*sm.Result, error) {
 	return d.NewStream().Launch(ctx, l).Wait()
-}
-
-// run simulates one launch with the wave-partitioning decision made
-// explicit (RunSuite routes heavy entries through the partitioned
-// engine under WithAutoPartition while light entries keep the
-// whole-grid path) and the admission cost chosen by the caller: raw
-// thread count for ad-hoc launches, measured-or-calibrated estimates
-// for suite entries.
-func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, cost int64) (*sm.Result, error) {
-	return d.runTraced(ctx, l, partition, cost, nil, nil)
 }
 
 // waveOpts threads the trace-replay machinery into one CTA range's SM
@@ -442,13 +404,15 @@ func waveOpts(rec *replay.Recorder, tr *replay.Trace, ctaStart, ctaEnd int) (sm.
 	return o, nil
 }
 
-// runTraced is run with the trace-replay machinery made explicit: with
-// rec the full simulation additionally records per-thread traces; with
-// tr the functional layer is replaced by the recorded streams — global
-// memory is neither read nor written (so wave snapshots and the merge
-// are skipped) while every timing path runs exactly as in a full
+// runTraced simulates one launch through the wave engine (memsys.go)
+// at the admission cost chosen by the caller: raw thread count for
+// ad-hoc launches, measured-or-calibrated estimates for suite entries.
+// With rec the full simulation additionally records per-thread traces;
+// with tr the functional layer is replaced by the recorded streams —
+// global memory is neither read nor written (so wave snapshots and the
+// merge are skipped) while every timing path runs exactly as in a full
 // simulation. At most one of rec/tr may be non-nil.
-func (d *Device) runTraced(ctx context.Context, l *exec.Launch, partition bool, cost int64, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
+func (d *Device) runTraced(ctx context.Context, l *exec.Launch, cost int64, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
@@ -459,150 +423,13 @@ func (d *Device) runTraced(ctx context.Context, l *exec.Launch, partition bool, 
 		ctx, stop = watchdogCtx(ctx, d.launchTimeout)
 		defer stop()
 	}
-	wave := sm.ResidentCTAs(d.cfg, l)
-	var waves [][2]int
-	if partition {
-		waves = exec.PartitionWaves(l.GridDim, wave)
+	// The wave driver is one goroutine however many SMs it interleaves,
+	// so a launch occupies a single run-queue slot at its full cost.
+	if err := d.acquireSlot(ctx, cost); err != nil {
+		return nil, err
 	}
-	if !partition || wave <= 0 || len(waves) <= 1 {
-		// Unpartitioned launch, a grid that fits in a single wave, or an
-		// over-subscribed block the SM will reject with its precise
-		// error: run whole on one SM over the live image, cycle-exact
-		// with the classic one-SM path. With the memory system modeled,
-		// the single SM's L1 talks to the L2 through its NoC port
-		// inline — one goroutine, so timing stays deterministic.
-		if err := d.acquireSlot(ctx, cost); err != nil {
-			return nil, err
-		}
-		defer d.queue.release()
-		opts, err := waveOpts(rec, tr, 0, l.GridDim)
-		if err != nil {
-			return nil, err
-		}
-		if !d.memsys {
-			return sm.RunRangeOpts(ctx, d.cfg, l, 0, l.GridDim, opts)
-		}
-		l2 := mem.NewL2(d.l2cfg, d.cfg.Mem)
-		xbar := noc.New(d.noccfg, 1)
-		opts.Lower = &l2Port{xbar: xbar, port: 0, l2: l2, blockBytes: d.cfg.Mem.BlockBytes, faults: d.faults}
-		res, err := sm.RunRangeOpts(ctx, d.cfg, l, 0, l.GridDim, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.Mem.L2 = l2.Stats
-		res.Stats.Mem.NoC = xbar.Stats()
-		res.NoCPorts = []noc.Stats{xbar.PortStats(0)}
-		return res, nil
-	}
-
-	if d.memsys {
-		// Waves share one L2/NoC/DRAM pipeline inline on a single
-		// driving goroutine; see memsys.go.
-		return d.runWavesShared(ctx, l, waves, cost, rec, tr)
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// A replayed launch never touches memory, so the waves share the
-	// launch as-is instead of each cloning the pre-launch image.
-	var base []byte
-	if tr == nil {
-		base = make([]byte, len(l.Global))
-		copy(base, l.Global)
-	}
-
-	type waveRun struct {
-		res    *sm.Result
-		global []byte
-		err    error
-	}
-	runs := make([]waveRun, len(waves))
-	var wg sync.WaitGroup
-	for i, w := range waves {
-		wg.Add(1)
-		i, start, end := i, w[0], w[1]
-		op := fmt.Sprintf("CTA wave %d of %s", i, l.Prog.Name)
-		go guarded(op, nil, func() {
-			defer wg.Done()
-			// Recover before wg.Done runs (defers are LIFO): a panicking
-			// wave must have failed itself — and cancelled its siblings —
-			// by the time wg.Wait returns.
-			defer func() {
-				if v := recover(); v != nil {
-					runs[i].err = newPanicError(op, v)
-					cancel()
-				}
-			}()
-			// Each wave competes in the run queue at its share of the
-			// launch's admission cost.
-			waveCost := cost * int64(end-start) / int64(l.GridDim)
-			if err := d.acquireSlot(ctx, waveCost); err != nil {
-				runs[i].err = err
-				return
-			}
-			defer d.queue.release()
-			opts, err := waveOpts(rec, tr, start, end)
-			if err != nil {
-				runs[i].err = err
-				cancel()
-				return
-			}
-			wl := l
-			if tr == nil {
-				wl = l.CloneWithGlobal(base)
-			}
-			res, err := sm.RunRangeOpts(ctx, d.cfg, wl, start, end, opts)
-			if err != nil {
-				runs[i].err = err
-				cancel()
-				return
-			}
-			runs[i] = waveRun{res: res, global: wl.Global}
-		})()
-	}
-	wg.Wait()
-
-	// Surface the first error in wave order so failures are
-	// deterministic too; prefer a real simulation error over the
-	// cancellations it triggered in sibling waves.
-	var firstErr error
-	for _, r := range runs {
-		if r.err == nil {
-			continue
-		}
-		if firstErr == nil || (isCtxErr(firstErr) && !isCtxErr(r.err)) {
-			firstErr = r.err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	if tr == nil {
-		if err := d.fire(faultinject.SiteWaveMerge); err != nil {
-			return nil, err
-		}
-		images := make([][]byte, len(runs))
-		for i := range runs {
-			images[i] = runs[i].global
-		}
-		if err := exec.MergeWaves(l.Global, base, images); err != nil {
-			return nil, fmt.Errorf("device: %s: %w", l.Prog.Name, err)
-		}
-	}
-
-	out := &sm.Result{
-		Trace:    runs[0].res.Trace, // wave clocks are independent; keep the first wave's trace
-		Waves:    make([]sm.Stats, len(runs)),
-		SMCycles: make([]int64, d.sms),
-	}
-	for i, r := range runs {
-		out.Waves[i] = r.res.Stats
-		out.Stats.Merge(&r.res.Stats)
-		out.SMCycles[i%d.sms] += r.res.Stats.Cycles
-	}
-	return out, nil
+	defer d.queue.release()
+	return d.runWaves(ctx, l, rec, tr)
 }
 
 // SuiteResult is the outcome of one benchmark within a RunSuite batch.
@@ -632,17 +459,13 @@ func (r *SuiteResult) Name() string { return r.Bench.Name }
 // acquires a device-global run-queue slot for its simulation, so suite
 // batches share the worker pool — and the queue's cost policy — with
 // any streams running on the device. Dispatch order can never change
-// results — only which worker simulates what, when.
-//
-// With WithAutoPartition, heavy entries additionally run as parallel
-// CTA waves (see the option's comment); with WithSimCache, entries are
-// memoized across passes and devices.
+// results — only which worker simulates what, when. With
+// WithSimCache, entries are memoized across passes and devices.
 func (d *Device) RunSuite(ctx context.Context, suite []*kernels.Benchmark) ([]*SuiteResult, error) {
 	results := make([]*SuiteResult, len(suite))
 	for i, b := range suite {
 		results[i] = &SuiteResult{Bench: b}
 	}
-	partitioned := d.partitionPlan(suite)
 
 	// Longest-job-first claim order: descending estimated cost, input
 	// order on ties. Claiming in sorted order (rather than submitting
@@ -699,7 +522,7 @@ func (d *Device) RunSuite(ctx context.Context, suite []*kernels.Benchmark) ([]*S
 				// safeRun fails only the panicking entry; this worker keeps
 				// claiming the rest of the batch.
 				r.Result, r.Err = safeRun("suite entry "+r.Bench.Name, func() (*sm.Result, error) {
-					return d.runSuiteEntry(ctx, r.Bench, partitioned[order[n]])
+					return d.runSuiteEntry(ctx, r.Bench)
 				})
 			}
 		})()
@@ -720,40 +543,6 @@ func (d *Device) RunSuite(ctx context.Context, suite []*kernels.Benchmark) ([]*S
 	return results, nil
 }
 
-// partitionPlan decides, per suite entry, whether it runs through the
-// wave-partitioned engine. With WithGridPartition everything does;
-// with WithAutoPartition exactly the heavy tail does: entries whose
-// static cost estimate exceeds the batch mean and whose grid spans at
-// least two CTA waves. The plan reads only static batch properties —
-// never worker or SM counts, never measured timings — so identical
-// batches partition identically on every host, pass and parallelism
-// setting.
-func (d *Device) partitionPlan(suite []*kernels.Benchmark) []bool {
-	plan := make([]bool, len(suite))
-	if d.partition {
-		for i := range plan {
-			plan[i] = true
-		}
-		return plan
-	}
-	if !d.autoPart || len(suite) == 0 {
-		return plan
-	}
-	var total int64
-	for _, b := range suite {
-		total += staticCost(b)
-	}
-	mean := total / int64(len(suite))
-	for i, b := range suite {
-		if staticCost(b) <= mean {
-			continue
-		}
-		wave := sm.ResidentCTAs(d.cfg, &exec.Launch{BlockDim: b.Block})
-		plan[i] = wave > 0 && b.Grid > wave
-	}
-	return plan
-}
-
 // runSuiteEntry runs one suite entry through the cache (when attached)
 // and records its measured cost for future scheduling. With trace
 // replay enabled the fill itself goes through the record-once /
@@ -763,50 +552,49 @@ func (d *Device) partitionPlan(suite []*kernels.Benchmark) []bool {
 // interaction, so a follower of a transiently failed leader re-runs
 // rather than inheriting — sits under the WithRetry transient-retry
 // policy (guard.go).
-func (d *Device) runSuiteEntry(ctx context.Context, b *kernels.Benchmark, partition bool) (*sm.Result, error) {
+func (d *Device) runSuiteEntry(ctx context.Context, b *kernels.Benchmark) (*sm.Result, error) {
 	op := "suite entry " + b.Name
 	return d.retry(ctx, op, func() (*sm.Result, error) {
 		// Convert panics per attempt, inside the retry loop: a panic
 		// carrying a transient fault (the hot memory-access site raises
 		// error-class faults as panics) stays retry-eligible.
 		return safeRun(op, func() (*sm.Result, error) {
-			return d.suiteAttempt(ctx, b, partition)
+			return d.suiteAttempt(ctx, b)
 		})
 	})
 }
 
 // suiteAttempt is one try of one suite entry: fault sites, cache
 // interaction and the simulation itself.
-func (d *Device) suiteAttempt(ctx context.Context, b *kernels.Benchmark, partition bool) (*sm.Result, error) {
+func (d *Device) suiteAttempt(ctx context.Context, b *kernels.Benchmark) (*sm.Result, error) {
 	if err := d.fire(faultinject.SiteSuiteWorker); err != nil {
 		return nil, err
 	}
 	if d.cache == nil {
-		return d.runBenchmark(ctx, b, partition)
+		return d.runBenchmark(ctx, b)
 	}
 	fill := func() (*sm.Result, error) {
 		if err := d.fire(faultinject.SiteCacheFill); err != nil {
 			return nil, err
 		}
 		if d.traceReplay {
-			return d.runBenchmarkTraced(ctx, b, partition)
+			return d.runBenchmarkTraced(ctx, b)
 		}
-		return d.runBenchmark(ctx, b, partition)
+		return d.runBenchmark(ctx, b)
 	}
-	return d.cache.getOrRun(ctx, d.simKeyFor(b, partition), fill)
+	return d.cache.getOrRun(ctx, d.simKeyFor(b), fill)
 }
 
 // runBenchmark builds the benchmark's launch for the device's
-// architecture, runs it (partitioned into CTA waves when asked), and
-// checks the oracle. Admission is weighted by the entry's estimated
+// architecture, runs it, and checks the oracle. Admission is weighted by the entry's estimated
 // cost — measured cycles after the cell has run once in this process,
 // the calibrated static estimate cold.
-func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool) (*sm.Result, error) {
+func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark) (*sm.Result, error) {
 	l, err := b.NewLaunch(d.cfg.Arch != sm.ArchBaseline)
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.run(ctx, l, partition, estimatedCost(b, d.cfgFP))
+	res, err := d.runTraced(ctx, l, estimatedCost(b, d.cfgFP), nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("device: %s on %s: %w", b.Name, d.cfg.Arch, err)
 	}

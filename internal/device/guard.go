@@ -35,7 +35,7 @@ import (
 // WithLaunchTimeout(d) bounds each launch's host wall-clock time —
 // queueing, admission and simulation. The watchdog cancels the launch's
 // context with a cause wrapping sm.ErrLaunchTimeout; the SM poll loop
-// (and the memsys interleaver via sm.Runner.Diagnose) converts that
+// (and the device wave driver via sm.Runner.Diagnose) converts that
 // cause into a *sm.TimeoutError carrying the dumpState partial-state
 // snapshot. Wall-clock state never reaches modeled cycles: the watchdog
 // can only abort a simulation, not change what it computes.

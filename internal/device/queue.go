@@ -11,8 +11,8 @@ import (
 // whose waiters are granted slots in descending estimated-cost order
 // (longest job first, FIFO on ties) instead of arrival order. Every
 // simulation the device performs — a Device.Run launch, a stream
-// launch, a RunSuite entry, an individual CTA wave of a partitioned
-// grid — acquires one slot for the duration of its SM simulation, so
+// launch, a RunSuite entry — acquires one slot for the duration of its
+// simulation (one goroutine drives all of a launch's SMs), so
 // suite batches and interactive streams share a single fairness/cost
 // policy and a single host-parallelism bound.
 //

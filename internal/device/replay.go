@@ -72,9 +72,9 @@ func WithReplayLog(w io.Writer) Option {
 // record on the first configuration to arrive, replay on every later
 // one, full simulation when the benchmark is out of the validity
 // domain.
-func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, partition bool) (*sm.Result, error) {
+func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark) (*sm.Result, error) {
 	tr, res, err := d.cache.traceOrRecord(ctx, traceKey{b.Name, d.funcFP}, func() (*replay.Trace, *sm.Result, error) {
-		return d.recordBenchmark(ctx, b, partition)
+		return d.recordBenchmark(ctx, b)
 	})
 	if err != nil {
 		return nil, err
@@ -86,12 +86,12 @@ func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, p
 	}
 	if !tr.Replayable {
 		// The reason was logged once when the trace was recorded.
-		return d.runBenchmark(ctx, b, partition)
+		return d.runBenchmark(ctx, b)
 	}
 	// A panicking replay degrades exactly like a desynced one: safeRun
 	// converts the panic, the uniform fallback below re-runs in full.
 	res, err = safeRun("trace replay of "+b.Name, func() (*sm.Result, error) {
-		return d.replayBenchmark(ctx, b, partition, tr)
+		return d.replayBenchmark(ctx, b, tr)
 	})
 	if err != nil {
 		if isCtxErr(err) {
@@ -101,7 +101,7 @@ func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, p
 		// domain at runtime — and an injected fault in the replay path is
 		// made to look the same way; fall back loudly rather than guess.
 		d.degradef("device: trace replay of %s on %s fell back to full simulation: %v", b.Name, d.cfg.Arch, err)
-		return d.runBenchmark(ctx, b, partition)
+		return d.runBenchmark(ctx, b)
 	}
 	return res, nil
 }
@@ -109,13 +109,13 @@ func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, p
 // recordBenchmark runs one full, oracle-checked simulation of the
 // benchmark while recording its per-thread trace, and finalizes the
 // trace (including the race analysis deciding replayability).
-func (d *Device) recordBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool) (*replay.Trace, *sm.Result, error) {
+func (d *Device) recordBenchmark(ctx context.Context, b *kernels.Benchmark) (*replay.Trace, *sm.Result, error) {
 	l, err := b.NewLaunch(d.cfg.Arch != sm.ArchBaseline)
 	if err != nil {
 		return nil, nil, err
 	}
 	rec := replay.NewRecorder(l.GridDim, l.BlockDim)
-	res, err := d.runTraced(ctx, l, partition, estimatedCost(b, d.cfgFP), rec, nil)
+	res, err := d.runTraced(ctx, l, estimatedCost(b, d.cfgFP), rec, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("device: %s on %s: %w", b.Name, d.cfg.Arch, err)
 	}
@@ -134,7 +134,7 @@ func (d *Device) recordBenchmark(ctx context.Context, b *kernels.Benchmark, part
 // oracle check is skipped by design: a replay never touches the global
 // image (the recording run already validated the functional behavior
 // the trace encodes).
-func (d *Device) replayBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool, tr *replay.Trace) (*sm.Result, error) {
+func (d *Device) replayBenchmark(ctx context.Context, b *kernels.Benchmark, tr *replay.Trace) (*sm.Result, error) {
 	if err := d.fire(faultinject.SiteReplayFallback); err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func (d *Device) replayBenchmark(ctx context.Context, b *kernels.Benchmark, part
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.runTraced(ctx, l, partition, estimatedCost(b, d.cfgFP), nil, tr)
+	res, err := d.runTraced(ctx, l, estimatedCost(b, d.cfgFP), nil, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +167,7 @@ func (d *Device) RunTraceReplay(ctx context.Context, l *exec.Launch) (*sm.Result
 	defer d.inflight.finish()
 
 	rec := replay.NewRecorder(l.GridDim, l.BlockDim)
-	res, err := d.runTraced(ctx, l, d.partition, launchCost(l), rec, nil)
+	res, err := d.runTraced(ctx, l, launchCost(l), rec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func (d *Device) RunTraceReplay(ctx context.Context, l *exec.Launch) (*sm.Result
 		if err := d.fire(faultinject.SiteReplayFallback); err != nil {
 			return nil, err
 		}
-		return d.runTraced(ctx, l, d.partition, launchCost(l), nil, tr)
+		return d.runTraced(ctx, l, launchCost(l), nil, tr)
 	})
 	if err != nil {
 		if isCtxErr(err) {

@@ -44,15 +44,15 @@ type simKey struct {
 }
 
 // simKeyFor derives the cache key for one suite entry on this device.
-func (d *Device) simKeyFor(b *kernels.Benchmark, partitioned bool) simKey {
+func (d *Device) simKeyFor(b *kernels.Benchmark) simKey {
 	k := simKey{
 		bench:       b.Name,
 		cfgFP:       d.cfgFP,
-		partitioned: partitioned,
+		partitioned: d.partition,
 		sms:         d.sms,
 		memsysFP:    d.memsysFP,
 	}
-	if !partitioned && !d.memsys {
+	if !d.partition && !d.memsys {
 		k.sms = 1 // result provably SM-count independent; widen the hit range
 	}
 	return k

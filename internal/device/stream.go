@@ -159,7 +159,7 @@ func (s *Stream) Launch(ctx context.Context, l *exec.Launch) *Pending {
 		if err := s.dev.fire(faultinject.SiteStreamDispatch); err != nil {
 			return nil, err
 		}
-		return s.dev.run(ctx, l, s.dev.partition, launchCost(l))
+		return s.dev.runTraced(ctx, l, launchCost(l), nil, nil)
 	}, ctx, s.depth != nil)
 	return p
 }
@@ -276,13 +276,12 @@ func (d *Device) Synchronize(ctx context.Context) error {
 // benchmark's estimated cost, oracle-validated, served from the
 // simulation cache when one is attached, and cost-recorded — exactly
 // like a one-entry RunSuite batch. Partitioning follows the device's
-// WithGridPartition setting (WithAutoPartition is a batch-level
-// heuristic and needs RunSuite). The experiments runner submits every
+// WithGridPartition setting. The experiments runner submits every
 // figure's prefetch matrix through this, overlapping work across
 // configurations.
 func (d *Device) SubmitBenchmark(ctx context.Context, b *kernels.Benchmark) *Pending {
 	return d.submit("submitted benchmark "+b.Name, func() (*sm.Result, error) {
-		return d.runSuiteEntry(ctx, b, d.partition)
+		return d.runSuiteEntry(ctx, b)
 	})
 }
 

@@ -98,22 +98,25 @@ type access struct {
 const sharedKeyBit = 1 << 63
 
 // Recorder accumulates one launch's streams. Stream writes go through
-// per-SM Sinks: each sink is single-goroutine, and concurrent sinks
-// (the device's parallel CTA waves) write disjoint per-thread inner
-// slices, so recording needs no lock on the hot path.
+// per-SM Sinks: each sink is single-goroutine and writes only its own
+// threads' inner slices, so recording needs no lock on the hot path.
+// The device drives all sinks of a launch from one goroutine; callers
+// of package sm may still run sinks over disjoint CTA ranges
+// concurrently.
 type Recorder struct {
 	gridDim  int
 	blockDim int
 
 	// The per-thread streams are sharded, not mutex-guarded: the outer
-	// slices are sized once by NewRecorder, and concurrent sinks write
-	// disjoint tid entries (each thread belongs to exactly one CTA
-	// wave), so no two goroutines ever touch the same inner slice.
-	//sbwi:nolock sharded per thread: concurrent sinks write disjoint tid entries, never the same inner slice
+	// slices are sized once by NewRecorder, and each sink writes only
+	// the tid entries of its own CTA range (each thread belongs to
+	// exactly one wave), so no two sinks ever touch the same inner
+	// slice, whichever goroutines drive them.
+	//sbwi:nolock sharded per thread: each sink writes only its own CTA range's tid entries, never another sink's inner slice
 	branchBits [][]uint64
-	//sbwi:nolock sharded per thread: concurrent sinks write disjoint tid entries, never the same inner slice
+	//sbwi:nolock sharded per thread: each sink writes only its own CTA range's tid entries, never another sink's inner slice
 	branchN []int32
-	//sbwi:nolock sharded per thread: concurrent sinks write disjoint tid entries, never the same inner slice
+	//sbwi:nolock sharded per thread: each sink writes only its own CTA range's tid entries, never another sink's inner slice
 	addrs [][]uint32
 
 	mu    sync.Mutex

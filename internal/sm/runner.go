@@ -12,7 +12,7 @@ import (
 // local clock maps to the earliest device time, and each Step's memory
 // traffic enters the shared L2/NoC (through RunOpts.Lower) at exactly
 // that moment. A Runner is not safe for concurrent use; the device's
-// interleaver drives every Runner of a launch from one goroutine, which
+// wave driver runs every Runner of a launch on one goroutine, which
 // is what makes the shared access order — and therefore all contention
 // counters — a pure function of the configuration.
 type Runner struct {
@@ -22,8 +22,7 @@ type Runner struct {
 }
 
 // NewRunner builds a steppable SM over the CTA sub-range
-// [ctaStart, ctaEnd), validating the configuration and launch exactly
-// like RunRangeOpts.
+// [ctaStart, ctaEnd), validating the configuration and launch.
 func NewRunner(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*Runner, error) {
 	s, err := newSM(cfg, l, ctaStart, ctaEnd, opts)
 	if err != nil {
@@ -43,8 +42,28 @@ func NewRunner(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (
 //sbwi:hotpath
 func (r *Runner) Now() int64 { return r.s.now }
 
-// Done reports whether the sub-range has completed.
-func (r *Runner) Done() bool { return r.done }
+// Run drives the simulation to completion (or error), polling the
+// context about every 1k cycles; cancellation aborts with the same
+// typed error Diagnose returns. RunRangeOpts is NewRunner followed by
+// Run; the device's wave driver calls Run for a wave that no other
+// live wave can observe.
+func (r *Runner) Run(ctx context.Context) error {
+	s := r.s
+	for {
+		if s.now >= s.nextPoll {
+			select {
+			case <-ctx.Done():
+				return s.abortErr(ctx)
+			default:
+			}
+			s.nextPoll = (s.now &^ 1023) + 1024
+		}
+		done, err := r.Step()
+		if err != nil || done {
+			return err
+		}
+	}
+}
 
 // Step advances the simulation by one front-end iteration (one
 // scheduling cycle plus any idle fast-forward). It reports completion;
@@ -74,7 +93,7 @@ func (r *Runner) Result() *Result { return r.s.result() }
 
 // Diagnose converts an externally observed context abort into the same
 // typed error a self-running SM produces: the interleaving driver
-// (device memsys) polls the context between Steps, and on abort calls
+// (package device) polls the context between Steps, and on abort calls
 // Diagnose so a watchdog cancellation still yields a TimeoutError with
 // this SM's partial-state snapshot instead of a bare context error.
 func (r *Runner) Diagnose(ctx context.Context) error { return r.s.abortErr(ctx) }

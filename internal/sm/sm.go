@@ -206,14 +206,14 @@ func RunRange(ctx context.Context, cfg Config, l *exec.Launch, ctaStart, ctaEnd 
 
 // RunRangeOpts is RunRange with explicit memory-system wiring.
 func RunRangeOpts(ctx context.Context, cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*Result, error) {
-	s, err := newSM(cfg, l, ctaStart, ctaEnd, opts)
+	r, err := NewRunner(cfg, l, ctaStart, ctaEnd, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.run(ctx); err != nil {
+	if err := r.Run(ctx); err != nil {
 		return nil, err
 	}
-	return s.result(), nil
+	return r.Result(), nil
 }
 
 // newSM validates the configuration and launch and builds a fresh SM
@@ -308,32 +308,6 @@ func newSM(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*SM,
 		}
 	}
 	return s, nil
-}
-
-// run drives the simulation to completion (or error), polling the
-// context about every 1k cycles.
-func (s *SM) run(ctx context.Context) error {
-	maxCycles := s.cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = defaultMaxCycles
-	}
-	for {
-		if s.now >= s.nextPoll {
-			select {
-			case <-ctx.Done():
-				return s.abortErr(ctx)
-			default:
-			}
-			s.nextPoll = (s.now &^ 1023) + 1024
-		}
-		done, err := s.step(maxCycles)
-		if err != nil {
-			return err
-		}
-		if done {
-			return s.finishReplay()
-		}
-	}
 }
 
 // finishReplay verifies, at completion of a replayed run, that every

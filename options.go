@@ -48,16 +48,17 @@ func WithConfig(cfg Config) Option { return device.WithConfig(cfg) }
 
 // WithSMs sets the number of streaming multiprocessors the device
 // models (default 1). With grid partitioning enabled, a launch's CTA
-// waves are dispatched across the SMs round-robin and
-// Result.DeviceCycles reports the busiest SM's total; statistics are
-// bit-identical for every SM count by construction.
+// waves are packed onto the SMs round-robin and Result.DeviceCycles
+// reports the busiest SM's total; under the flat-latency memory model
+// statistics are bit-identical for every SM count by construction.
 func WithSMs(n int) Option { return device.WithSMs(n) }
 
 // WithWorkers bounds the host goroutines simulating concurrently
-// across everything the device runs — stream launches, CTA waves and
-// RunSuite entries alike (default: GOMAXPROCS). The worker count never
-// changes results, only wall-clock. Ignored when WithRunQueue shares a
-// queue: the queue's slot count is the bound then.
+// across everything the device runs — stream launches and RunSuite
+// entries alike (default: GOMAXPROCS). Each launch is simulated by one
+// goroutine. The worker count never changes results, only wall-clock.
+// Ignored when WithRunQueue shares a queue: the queue's slot count is
+// the bound then.
 func WithWorkers(n int) Option { return device.WithWorkers(n) }
 
 // WithRunQueue admits the device's simulations through a shared
@@ -74,24 +75,15 @@ func WithRunQueue(q *RunQueue) Option { return device.WithRunQueue(q) }
 // unbounded.
 func WithStreamQueueDepth(n int) Option { return device.WithStreamQueueDepth(n) }
 
-// WithGridPartition enables intra-launch parallelism: the grid is
-// split into SM-sized CTA waves, each simulated on an independent SM
-// instance from a snapshot of global memory and merged back under the
-// write-sharing contract (CTAs may only write the same global location
-// with the same value). Off by default, which keeps Device.Run
-// cycle-exact with the classic single-SM Run path.
+// WithGridPartition selects the partitioned timing model: the grid is
+// split into SM-sized CTA waves, wave j runs on SM j mod N after that
+// SM's earlier waves, and each wave starts on a cold SM from a snapshot
+// of global memory that is merged back under the write-sharing contract
+// (CTAs may only write the same global location with the same value).
+// Result.Waves and Result.SMCycles report the decomposition. Off by
+// default, which keeps Device.Run cycle-exact with the classic
+// single-SM Run path.
 func WithGridPartition(on bool) Option { return device.WithGridPartition(on) }
-
-// WithAutoPartition lets Device.RunSuite route heavy suite entries
-// through the wave-partitioned engine on its own: entries whose static
-// cost estimate exceeds the batch mean and whose grids span several
-// CTA waves run as parallel waves, so a batch is no longer tail-bound
-// by one dominant kernel. The decision is a pure function of the batch
-// — results stay bit-identical for every worker and SM count — but
-// auto-partitioned entries carry the partitioned timing model's
-// numbers (each wave starts on a cold SM). Off by default, which keeps
-// RunSuite statistics cycle-exact with the seed path.
-func WithAutoPartition(on bool) Option { return device.WithAutoPartition(on) }
 
 // WithSimCache attaches a simulation cache: RunSuite entries are
 // memoized by (benchmark, full configuration fingerprint,
